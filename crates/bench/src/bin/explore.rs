@@ -9,11 +9,14 @@
 //! ```
 //!
 //! Every flag has a baseline default, so `explore` with no arguments
-//! reproduces the paper's Table I bold row.
+//! reproduces the paper's Table I bold row. Topology, routing,
+//! arbitration and pattern names are the `noc-eval/serve/v1` wire names
+//! (`torus8` is the plain 8x8 torus, `ftorus8` the folded one).
 
 use noc_closedloop::BatchConfig;
+use noc_eval::serve::{parse_arb, parse_pattern, parse_routing, parse_topology};
 use noc_openloop::OpenLoopConfig;
-use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
+use noc_sim::config::NetConfig;
 use noc_traffic::{PatternKind, SizeKind};
 
 struct Args {
@@ -49,46 +52,23 @@ fn parse_args() -> Result<Args, String> {
         let val = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
         match flag {
             "--topology" => {
-                net.topology = match val.as_str() {
-                    "mesh8" => TopologyKind::Mesh2D { k: 8 },
-                    "mesh16" => TopologyKind::Mesh2D { k: 16 },
-                    "mesh4" => TopologyKind::Mesh2D { k: 4 },
-                    "torus8" => TopologyKind::FoldedTorus2D { k: 8 },
-                    "ring64" => TopologyKind::Ring { n: 64 },
-                    other => return Err(format!("unknown topology `{other}`")),
-                }
+                net.topology =
+                    parse_topology(val).ok_or_else(|| format!("unknown topology `{val}`"))?
             }
             "--routing" => {
-                net.routing = match val.as_str() {
-                    "dor" => RoutingKind::Dor,
-                    "val" => RoutingKind::Valiant,
-                    "romm" => RoutingKind::Romm,
-                    "ma" => RoutingKind::MinAdaptive,
-                    other => return Err(format!("unknown routing `{other}`")),
-                }
+                net.routing =
+                    parse_routing(val).ok_or_else(|| format!("unknown routing `{val}`"))?
             }
             "--vcs" => net.vcs = val.parse().map_err(|e| format!("--vcs: {e}"))?,
             "--buf" => net.vc_buf = val.parse().map_err(|e| format!("--buf: {e}"))?,
             "--tr" => net.router_delay = val.parse().map_err(|e| format!("--tr: {e}"))?,
             "--arb" => {
-                net.arbitration = match val.as_str() {
-                    "rr" => Arbitration::RoundRobin,
-                    "age" => Arbitration::AgeBased,
-                    other => return Err(format!("unknown arbitration `{other}`")),
-                }
+                net.arbitration =
+                    parse_arb(val).ok_or_else(|| format!("unknown arbitration `{val}`"))?
             }
             "--seed" => net.seed = val.parse().map_err(|e| format!("--seed: {e}"))?,
             "--pattern" => {
-                pattern = match val.as_str() {
-                    "uniform" => PatternKind::Uniform,
-                    "transpose" => PatternKind::Transpose,
-                    "bitcomp" => PatternKind::BitComplement,
-                    "bitrev" => PatternKind::BitReversal,
-                    "shuffle" => PatternKind::Shuffle,
-                    "tornado" => PatternKind::Tornado,
-                    "neighbor" => PatternKind::Neighbor,
-                    other => return Err(format!("unknown pattern `{other}`")),
-                }
+                pattern = parse_pattern(val).ok_or_else(|| format!("unknown pattern `{val}`"))?
             }
             "--size" => {
                 size = match val.as_str() {
@@ -132,11 +112,12 @@ fn main() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "flags: --topology mesh4|mesh8|mesh16|torus8|ring64  --routing dor|val|romm|ma"
-            );
+            eprintln!("flags: --topology meshK|torusK|ftorusK|ringN  --routing dor|val|romm|ma");
             eprintln!("       --vcs N --buf N --tr N --arb rr|age --seed N");
-            eprintln!("       --pattern uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor");
+            eprintln!(
+                "       --pattern uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor|"
+            );
+            eprintln!("                 hotspot:NODE:FRAC");
             eprintln!("       --size 1|N|bimodal --load F --batch N --m N");
             eprintln!("       --metrics BIN_WIDTH --metrics-out FILE.json --analytic");
             std::process::exit(2);

@@ -15,6 +15,7 @@
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_sim::network::{fnv1a, DIGEST_SEED};
 
 /// Thread counts swept, in run order. Serial first: its results are the
 /// reference the parallel runs are checked against.
@@ -23,17 +24,15 @@ const THREADS: &[usize] = &[1, 2, 4, 8];
 /// Fingerprint of one grid point's result, folded over the fields that
 /// a scheduling difference could plausibly corrupt.
 fn fingerprint(r: &noc_openloop::OpenLoopResult) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [
+    [
         r.avg_latency.to_bits(),
         r.throughput.to_bits(),
         r.measured_packets,
         r.cycles,
         r.worst_node_latency.to_bits(),
-    ] {
-        h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    ]
+    .iter()
+    .fold(DIGEST_SEED, |h, v| fnv1a(h, &v.to_le_bytes()))
 }
 
 fn main() {

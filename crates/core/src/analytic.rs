@@ -4,8 +4,8 @@
 //! throughput with `noc-analytic`, measure it with `noc-openloop`'s
 //! bisection search, and report per-case relative errors plus the
 //! Pearson correlation. Results export to the `noc-eval/analytic/v1`
-//! JSON schema (hand-rolled emission, tolerant line-scanning parse —
-//! the same discipline as `noc-eval/metrics/v1`).
+//! JSON schema (`format!` emission, parsed with [`crate::json`] — the
+//! same discipline as `noc-eval/metrics/v1`).
 
 use noc_analytic::AnalyticModel;
 use noc_openloop::{saturation_throughput, OpenLoopConfig, SweepPoint};
@@ -16,7 +16,7 @@ use noc_traffic::{PatternKind, SizeKind};
 use serde::{Deserialize, Serialize};
 
 use crate::effort::Effort;
-use crate::figures::extract_num;
+use crate::json::{check_schema, escape, field_bool, field_f64, field_str};
 
 /// Schema tag emitted and required by this module.
 pub const ANALYTIC_SCHEMA: &str = "noc-eval/analytic/v1";
@@ -168,7 +168,7 @@ pub fn analytic_to_json(s: &AnalyticStudy) -> String {
             "    {{\"label\": \"{}\", \"certified\": {}, \"ideal\": {:.6}, \
              \"predicted\": {:.6}, \"measured_lo\": {:.6}, \"measured_hi\": {:.6}, \
              \"rel_err\": {:.6}}}{}\n",
-            p.label,
+            escape(&p.label),
             p.certified,
             p.ideal,
             p.predicted,
@@ -182,40 +182,28 @@ pub fn analytic_to_json(s: &AnalyticStudy) -> String {
     out
 }
 
-/// Extract a quoted string field from a JSON-ish line.
-fn extract_str<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
-    let rest = &line[line.find(prefix)? + prefix.len()..];
-    rest.split('"').next()
-}
-
-/// Tolerant parse of the `noc-eval/analytic/v1` schema: requires the
-/// schema header, then scans line by line. Returns an error string on
-/// any structural problem, never a panic.
+/// Parse the `noc-eval/analytic/v1` schema: requires the schema
+/// header, then reads the header fields and one point record per line.
+/// Returns an error string on any structural problem, never a panic.
 pub fn parse_analytic_json(text: &str) -> Result<AnalyticStudy, String> {
-    if !text.contains(&format!("\"schema\": \"{ANALYTIC_SCHEMA}\"")) {
-        return Err(format!("unrecognized schema (expected {ANALYTIC_SCHEMA})"));
-    }
-    let top = |key: &str| -> Result<f64, String> {
-        text.lines()
-            .filter(|l| !l.contains("\"label\""))
-            .find_map(|l| extract_num(l, &format!("\"{key}\": ")))
-            .ok_or_else(|| format!("missing top-level field \"{key}\""))
+    check_schema(text, ANALYTIC_SCHEMA)?;
+    let top = |key: &str| {
+        field_f64(text, key).ok_or_else(|| format!("missing top-level field \"{key}\""))
     };
     let latency_cap = top("latency_cap")?;
     let max_rel_err = top("max_rel_err")?;
     let mean_rel_err = top("mean_rel_err")?;
-    let r =
-        text.lines().filter(|l| !l.contains("\"label\"")).find_map(|l| extract_num(l, "\"r\": "));
+    let r = field_f64(text, "r");
     let mut points = Vec::new();
     for line in text.lines() {
-        let Some(label) = extract_str(line, "\"label\": \"") else { continue };
+        let Some(label) = field_str(line, "label") else { continue };
         let num = |key: &str| {
-            extract_num(line, &format!("\"{key}\": "))
+            field_f64(line, key)
                 .ok_or_else(|| format!("malformed point record ({key}): {}", line.trim()))
         };
         points.push(AnalyticPoint {
-            label: label.to_string(),
-            certified: line.contains("\"certified\": true"),
+            label,
+            certified: field_bool(line, "certified").unwrap_or(false),
             ideal: num("ideal")?,
             predicted: num("predicted")?,
             measured_lo: num("measured_lo")?,

@@ -3,10 +3,10 @@
 //! timelines, and the transpose-vs-uniform showcase figure.
 //!
 //! The JSON follows the same discipline as `BENCH_sim_speed.json`: a
-//! schema-versioned header, one record per line, hand-rolled emission
-//! (the in-tree serde_json shim does not serialize), and a tolerant
-//! line-scanning parse that degrades with a reason instead of
-//! panicking.
+//! schema-versioned header, one record per line, `format!` emission
+//! (the in-tree serde_json shim does not serialize), and a parse
+//! through the crate's one record reader ([`crate::json`]) that
+//! degrades with a reason instead of panicking.
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::NetConfig;
@@ -14,8 +14,8 @@ use noc_sim::{ChannelMetrics, MetricsSnapshot};
 use noc_traffic::PatternKind;
 use serde::{Deserialize, Serialize};
 
-use super::system::extract_num;
 use crate::effort::Effort;
+use crate::json::{check_schema, field_u64};
 
 /// Schema tag emitted and required by this module.
 pub const METRICS_SCHEMA: &str = "noc-eval/metrics/v1";
@@ -81,19 +81,14 @@ pub struct ParsedMetrics {
     pub channels: Vec<(usize, usize, usize, u64)>,
 }
 
-/// Tolerant parse of the `noc-eval/metrics/v1` schema: requires the
-/// schema header, then scans for key-value pairs line by line. Unknown
-/// surrounding fields are ignored; any structural problem returns an
+/// Parse the `noc-eval/metrics/v1` schema: requires the schema
+/// header, then reads the header fields and one channel record per
+/// line. Unknown fields are ignored; any structural problem returns an
 /// error string, never a panic.
 pub fn parse_metrics_json(text: &str) -> Result<ParsedMetrics, String> {
-    if !text.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
-        return Err(format!("unrecognized schema (expected {METRICS_SCHEMA})"));
-    }
-    let top = |key: &str| -> Result<u64, String> {
-        text.lines()
-            .find_map(|l| extract_num(l, &format!("\"{key}\": ")))
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("missing top-level field \"{key}\""))
+    check_schema(text, METRICS_SCHEMA)?;
+    let top = |key: &str| {
+        field_u64(text, key).ok_or_else(|| format!("missing top-level field \"{key}\""))
     };
     let bin_width = top("bin_width")?;
     let cycles = top("cycles")?;
@@ -101,15 +96,13 @@ pub fn parse_metrics_json(text: &str) -> Result<ParsedMetrics, String> {
     let link_flits = top("link_flits")?;
     let mut channels = Vec::new();
     for line in text.lines() {
-        let Some(src) = extract_num(line, "\"src\": ") else { continue };
-        let (Some(port), Some(dst), Some(total)) = (
-            extract_num(line, "\"port\": "),
-            extract_num(line, "\"dst\": "),
-            extract_num(line, "\"total\": "),
-        ) else {
+        let Some(src) = field_u64(line, "src") else { continue };
+        let (Some(port), Some(dst), Some(total)) =
+            (field_u64(line, "port"), field_u64(line, "dst"), field_u64(line, "total"))
+        else {
             return Err(format!("malformed channel record: {}", line.trim()));
         };
-        channels.push((src as usize, port as usize, dst as usize, total as u64));
+        channels.push((src as usize, port as usize, dst as usize, total));
     }
     if channels.is_empty() {
         return Err("schema header found but no channel records parsed".into());

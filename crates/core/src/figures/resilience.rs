@@ -5,9 +5,10 @@
 //!
 //! Export follows the `noc-eval/metrics/v1` discipline: a
 //! schema-versioned header (`noc-eval/resilience/v1`), one point
-//! record per line, hand-rolled emission (the in-tree serde_json shim
-//! does not serialize), and a tolerant line-scanning parse that
-//! degrades with a reason instead of panicking.
+//! record per line, `format!` emission (the in-tree serde_json shim
+//! does not serialize), and a parse through the crate's one record
+//! reader ([`crate::json`]) that degrades with a reason instead of
+//! panicking.
 
 use noc_exp::PointOutcome;
 use noc_fault::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
@@ -15,9 +16,9 @@ use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
 use serde::{Deserialize, Serialize};
 
-use super::system::extract_num;
 use super::{render_curves, Curve};
 use crate::effort::Effort;
+use crate::json::{check_schema, escape, field_f64, field_str, field_u64};
 
 /// Schema tag emitted and required by this module.
 pub const RESILIENCE_SCHEMA: &str = "noc-eval/resilience/v1";
@@ -162,7 +163,8 @@ pub fn resilience_to_json(fig: &ResilienceFigure) -> String {
     for (ci, c) in fig.curves.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"mode\": \"{}\", \"failed_points\": {}, \"points\": [\n",
-            c.mode, c.failed_points
+            escape(&c.mode),
+            c.failed_points
         ));
         for (i, p) in c.points.iter().enumerate() {
             out.push_str(&format!(
@@ -201,34 +203,32 @@ pub struct ParsedResilience {
     pub points: Vec<(String, u64, f64, f64, u64)>,
 }
 
-/// Tolerant parse of the `noc-eval/resilience/v1` schema: requires the
-/// schema header, then scans line by line. Any structural problem
-/// returns an error string, never a panic.
+/// Parse the `noc-eval/resilience/v1` schema: requires the schema
+/// header, then reads curve headers and point records line by line.
+/// Any structural problem returns an error string, never a panic.
 pub fn parse_resilience_json(text: &str) -> Result<ParsedResilience, String> {
-    if !text.contains(&format!("\"schema\": \"{RESILIENCE_SCHEMA}\"")) {
-        return Err(format!("unrecognized schema (expected {RESILIENCE_SCHEMA})"));
-    }
+    check_schema(text, RESILIENCE_SCHEMA)?;
     let mut mode = String::new();
     let mut points = Vec::new();
     for line in text.lines() {
-        if let Some(rest) = line.trim().strip_prefix("{\"mode\": \"") {
-            mode = rest.chars().take_while(|&c| c != '"').collect();
+        if let Some(m) = field_str(line, "mode") {
+            mode = m;
             continue;
         }
-        let Some(mtbf) = extract_num(line, "\"mtbf\": ") else { continue };
+        let Some(mtbf) = field_u64(line, "mtbf") else { continue };
         let (Some(avail), Some(num), Some(den), Some(recovery)) = (
-            extract_num(line, "\"availability\": "),
-            extract_num(line, "\"delivered_num\": "),
-            extract_num(line, "\"delivered_den\": "),
-            extract_num(line, "\"recovery_cycles\": "),
+            field_f64(line, "availability"),
+            field_u64(line, "delivered_num"),
+            field_u64(line, "delivered_den"),
+            field_u64(line, "recovery_cycles"),
         ) else {
             return Err(format!("malformed point record: {}", line.trim()));
         };
         if mode.is_empty() {
             return Err("point record before any curve header".into());
         }
-        let delivered = if den == 0.0 { 1.0 } else { num / den };
-        points.push((mode.clone(), mtbf as u64, avail, delivered, recovery as u64));
+        let delivered = if den == 0 { 1.0 } else { num as f64 / den as f64 };
+        points.push((mode.clone(), mtbf, avail, delivered, recovery));
     }
     if points.is_empty() {
         return Err("schema header found but no point records parsed".into());

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use super::correlation::validation_cmp;
 use crate::effort::Effort;
+use crate::json::{check_schema, escape, field_f64, field_str};
 
 /// Fig 12: example corner-to-corner routes under DOR and VAL on the
 /// 8x8 mesh for the transpose-critical pair.
@@ -351,6 +352,9 @@ pub struct SimSpeedReport {
     pub entries: Vec<SpeedEntry>,
 }
 
+/// Schema tag of `BENCH_sim_speed.json`.
+const SIM_SPEED_SCHEMA: &str = "noc-eval/sim-speed/v1";
+
 /// Single-thread cycles/sec of the pre-optimization engine, measured by
 /// the interleaved scratch-worktree protocol: check out the previous
 /// tree in a scratch worktree, build both bench binaries, and alternate
@@ -511,19 +515,15 @@ impl SpeedBaseline {
         }
     }
 
-    /// Tolerant parse of the `noc-eval/sim-speed/v1` schema: scan for
-    /// `"name"`/`"cycles_per_sec"` key-value pairs rather than fully
-    /// deserializing, so unknown surrounding fields are ignored. (The
-    /// in-tree serde_json shim does not deserialize; the schema is flat
-    /// enough that scanning is exact for files we ourselves wrote.)
+    /// Parse the `noc-eval/sim-speed/v1` schema: read each entry
+    /// line's `"name"`/`"cycles_per_sec"` with [`crate::json`], ignoring
+    /// every other field.
     fn parse(text: &str) -> Result<Vec<(String, f64)>, String> {
-        if !text.contains("\"schema\": \"noc-eval/sim-speed/v1\"") {
-            return Err("unrecognized schema (expected noc-eval/sim-speed/v1)".into());
-        }
+        check_schema(text, SIM_SPEED_SCHEMA)?;
         let mut entries = Vec::new();
         for line in text.lines() {
-            let Some(name) = extract_str(line, "\"name\": \"") else { continue };
-            let Some(cps) = extract_num(line, "\"cycles_per_sec\": ") else { continue };
+            let Some(name) = field_str(line, "name") else { continue };
+            let Some(cps) = field_f64(line, "cycles_per_sec") else { continue };
             entries.push((name, cps));
         }
         if entries.is_empty() {
@@ -555,20 +555,6 @@ impl SpeedBaseline {
             SpeedBaseline::Missing { why } => format!("no baseline ({why})"),
         }
     }
-}
-
-/// `prefix`-keyed quoted string value on `line`, if present.
-pub(crate) fn extract_str(line: &str, prefix: &str) -> Option<String> {
-    let rest = &line[line.find(prefix)? + prefix.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// `prefix`-keyed number on `line`, if present and parseable.
-pub(crate) fn extract_num(line: &str, prefix: &str) -> Option<f64> {
-    let rest = &line[line.find(prefix)? + prefix.len()..];
-    let end =
-        rest.find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 impl SimSpeedReport {
@@ -606,13 +592,13 @@ impl SimSpeedReport {
     /// (the in-tree serde_json shim does not serialize); every value is
     /// plain numbers/strings so the format is trivially stable.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"noc-eval/sim-speed/v1\",\n");
+        let mut out = format!("{{\n  \"schema\": \"{SIM_SPEED_SCHEMA}\",\n");
         out.push_str(&format!("  \"threads\": {},\n  \"entries\": [\n", self.threads));
         for (i, e) in self.entries.iter().enumerate() {
             let base = Self::baseline(&e.name);
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"cycles\": {}, \"wall_s\": {:.4}, \"cycles_per_sec\": {:.0}, \"baseline_cycles_per_sec\": {}, \"speedup_vs_baseline\": {}}}{}\n",
-                e.name,
+                escape(&e.name),
                 e.cycles,
                 e.wall_s,
                 e.cycles_per_sec,

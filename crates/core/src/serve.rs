@@ -1,6 +1,5 @@
-//! The `noc-eval/serve/v1` line protocol: schema types, hand-rolled
-//! emission, and a tolerant escape-aware parser for the long-running
-//! evaluation service (`noc-serve`).
+//! The `noc-eval/serve/v1` line protocol: schema types, emission, and
+//! parsing for the long-running evaluation service (`noc-serve`).
 //!
 //! One JSON object per line in both directions. Requests carry a
 //! `"req"` discriminator (`point`, `sweep`, `run`, `cancel`, `health`,
@@ -27,153 +26,25 @@
 //!   to the originally computed one. Floats are emitted with Rust's
 //!   shortest round-trip formatting (`{:?}`), which parses back to the
 //!   same bits.
-//! * **Tolerant, escape-aware parsing.** Unlike the older line-scanning
-//!   parsers in this crate, string fields here (shed reasons, panic
-//!   messages) can contain quotes, backslashes, and control characters;
-//!   [`parse_request`]/[`parse_response`] decode the full JSON escape
-//!   set and degrade to a typed `Err(String)` on anything malformed —
-//!   never a panic, never a silent drop.
+//! * **Escape-aware parsing.** Lines are read with the crate's one
+//!   record reader, [`crate::json`]: string fields (shed reasons, panic
+//!   messages) can contain quotes, backslashes, and control characters,
+//!   and [`parse_request`]/[`parse_response`] degrade to a typed
+//!   `Err(String)` on anything malformed — never a panic, never a
+//!   silent drop.
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_traffic::{PatternKind, SizeKind};
 use serde::{Deserialize, Serialize};
 
+use crate::json::{
+    check_schema, escape, field_bool, field_f64, field_f64_array, field_str, field_str_array,
+    field_u64,
+};
+
 /// Schema tag carried by every `noc-eval/serve/v1` line.
 pub const SERVE_SCHEMA: &str = "noc-eval/serve/v1";
-
-// ---------------------------------------------------------------------------
-// JSON primitives: escape-aware emission and field extraction
-// ---------------------------------------------------------------------------
-
-/// Escape a string for embedding in a JSON line: quotes, backslashes,
-/// and control characters (the older `extract_str` parsers in this
-/// crate cannot survive any of these; this module's decoder can).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Position the cursor just past `"key":` (with optional spaces),
-/// returning the value text that follows. Matches the *first*
-/// occurrence, so emitters must not duplicate keys within a line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    for pat in [format!("\"{key}\": "), format!("\"{key}\":")] {
-        if let Some(i) = line.find(&pat) {
-            return Some(line[i + pat.len()..].trim_start());
-        }
-    }
-    None
-}
-
-/// Extract a numeric field (integer, float, or exponent notation).
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let rest = field(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && !matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract an unsigned integer field at full 64-bit precision (an
-/// `f64` round-trip would corrupt digests and seeds above 2^53).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = field(line, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract a boolean field.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = field(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extract and unescape a string field. Handles the full JSON escape
-/// set (`\" \\ \/ \n \r \t \b \f \uXXXX`); returns `None` on an
-/// unterminated or malformed literal.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = field(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{0008}'),
-                'f' => out.push('\u{000c}'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extract the bracketed element list of a JSON array field. Arrays in
-/// this schema hold only numbers or plain (escape-free) wire names, so
-/// a comma split inside the brackets is exact.
-fn field_array<'a>(line: &'a str, key: &str) -> Option<Vec<&'a str>> {
-    let rest = field(line, key)?.strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    Some(body.split(',').map(str::trim).collect())
-}
-
-/// Extract an array of numbers (`"loads": [0.05, 0.1]`).
-fn field_f64_array(line: &str, key: &str) -> Option<Vec<f64>> {
-    field_array(line, key)?.into_iter().map(|s| s.parse().ok()).collect()
-}
-
-/// Extract an array of quoted wire names (`"patterns": ["uniform"]`).
-fn field_str_array(line: &str, key: &str) -> Option<Vec<String>> {
-    field_array(line, key)?
-        .into_iter()
-        .map(|s| Some(s.strip_prefix('"')?.strip_suffix('"')?.to_string()))
-        .collect()
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Config naming: compact wire names shared with the bench drivers
@@ -189,8 +60,12 @@ pub fn topology_name(t: TopologyKind) -> String {
     }
 }
 
-fn parse_topology(s: &str) -> Option<TopologyKind> {
-    let take = |prefix: &str| -> Option<usize> { s.strip_prefix(prefix)?.parse().ok() };
+/// Topology named by [`topology_name`]'s wire name; `None` if unknown
+/// or if the radix is below 2, which no topology can be built with.
+pub fn parse_topology(s: &str) -> Option<TopologyKind> {
+    let take = |prefix: &str| -> Option<usize> {
+        s.strip_prefix(prefix)?.parse().ok().filter(|&k| k >= 2)
+    };
     if let Some(k) = take("mesh") {
         return Some(TopologyKind::Mesh2D { k });
     }
@@ -213,7 +88,8 @@ pub fn routing_name(r: RoutingKind) -> &'static str {
     }
 }
 
-fn parse_routing(s: &str) -> Option<RoutingKind> {
+/// Routing algorithm named by [`routing_name`]'s wire name.
+pub fn parse_routing(s: &str) -> Option<RoutingKind> {
     match s {
         "dor" => Some(RoutingKind::Dor),
         "val" => Some(RoutingKind::Valiant),
@@ -231,7 +107,8 @@ pub fn arb_name(a: Arbitration) -> &'static str {
     }
 }
 
-fn parse_arb(s: &str) -> Option<Arbitration> {
+/// Arbitration policy named by [`arb_name`]'s wire name.
+pub fn parse_arb(s: &str) -> Option<Arbitration> {
     match s {
         "rr" => Some(Arbitration::RoundRobin),
         "age" => Some(Arbitration::AgeBased),
@@ -254,7 +131,8 @@ pub fn pattern_name(p: PatternKind) -> String {
     }
 }
 
-fn parse_pattern(s: &str) -> Option<PatternKind> {
+/// Traffic pattern named by [`pattern_name`]'s wire name.
+pub fn parse_pattern(s: &str) -> Option<PatternKind> {
     match s {
         "uniform" => return Some(PatternKind::Uniform),
         "transpose" => return Some(PatternKind::Transpose),
@@ -268,6 +146,26 @@ fn parse_pattern(s: &str) -> Option<PatternKind> {
     let rest = s.strip_prefix("hotspot:")?;
     let (node, frac) = rest.split_once(':')?;
     Some(PatternKind::Hotspot { node: node.parse().ok()?, frac: frac.parse().ok()? })
+}
+
+/// The network fields a `point` or `sweep` request line carries.
+fn parse_net(line: &str, req: &str) -> Result<NetConfig, String> {
+    let s =
+        |key: &str| field_str(line, key).ok_or_else(|| format!("{req} request missing \"{key}\""));
+    let u =
+        |key: &str| field_u64(line, key).ok_or_else(|| format!("{req} request missing \"{key}\""));
+    let (topology, routing, arb) = (s("topology")?, s("routing")?, s("arb")?);
+    Ok(NetConfig {
+        topology: parse_topology(&topology)
+            .ok_or_else(|| format!("unknown topology {topology:?}"))?,
+        routing: parse_routing(&routing).ok_or_else(|| format!("unknown routing {routing:?}"))?,
+        arbitration: parse_arb(&arb).ok_or_else(|| format!("unknown arbitration {arb:?}"))?,
+        vcs: u("vcs")? as usize,
+        vc_buf: u("vc_buf")? as usize,
+        router_delay: u("router_delay")? as u32,
+        seed: u("seed")?,
+        ..NetConfig::baseline()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +247,7 @@ impl PointRequest {
             self.drain_max,
             self.budget.map(|b| b as i128).unwrap_or(-1),
         );
-        fnv1a(desc.as_bytes())
+        noc_sim::network::fnv1a(noc_sim::network::DIGEST_SEED, desc.as_bytes())
     }
 
     /// Result-cache / WAL key: `"{config digest:016x}:{seed:016x}"`.
@@ -367,7 +265,7 @@ impl PointRequest {
              \"packet_size\": {}, \"load\": {:?}, \"warmup\": {}, \"measure\": {}, \
              \"drain_max\": {}, \"seed\": {}, {budget}\"allow_degraded\": {}, \
              \"analytic_admission\": {}}}",
-            json_escape(&self.batch),
+            escape(&self.batch),
             topology_name(self.net.topology),
             routing_name(self.net.routing),
             arb_name(self.net.arbitration),
@@ -393,22 +291,8 @@ impl PointRequest {
         let u = |key: &str| {
             field_u64(line, key).ok_or_else(|| format!("point request missing \"{key}\""))
         };
-        let topology = s("topology")?;
-        let routing = s("routing")?;
-        let arb = s("arb")?;
+        let net = parse_net(line, "point")?;
         let pattern = s("pattern")?;
-        let net = NetConfig {
-            topology: parse_topology(&topology)
-                .ok_or_else(|| format!("unknown topology {topology:?}"))?,
-            routing: parse_routing(&routing)
-                .ok_or_else(|| format!("unknown routing {routing:?}"))?,
-            arbitration: parse_arb(&arb).ok_or_else(|| format!("unknown arbitration {arb:?}"))?,
-            vcs: u("vcs")? as usize,
-            vc_buf: u("vc_buf")? as usize,
-            router_delay: u("router_delay")? as u32,
-            seed: u("seed")?,
-            ..NetConfig::baseline()
-        };
         Ok(Self {
             batch: s("batch")?,
             net,
@@ -548,7 +432,7 @@ impl SweepRequest {
              \"seeds\": {}, \"packet_size\": {}, \"warmup\": {}, \"measure\": {}, \
              \"drain_max\": {}, \"seed\": {}, {budget}\"allow_degraded\": {}, \
              \"analytic_admission\": {}{extra}}}",
-            json_escape(&self.batch),
+            escape(&self.batch),
             topology_name(self.net.topology),
             routing_name(self.net.routing),
             arb_name(self.net.arbitration),
@@ -575,21 +459,7 @@ impl SweepRequest {
         let u = |key: &str| {
             field_u64(line, key).ok_or_else(|| format!("sweep request missing \"{key}\""))
         };
-        let topology = s("topology")?;
-        let routing = s("routing")?;
-        let arb = s("arb")?;
-        let net = NetConfig {
-            topology: parse_topology(&topology)
-                .ok_or_else(|| format!("unknown topology {topology:?}"))?,
-            routing: parse_routing(&routing)
-                .ok_or_else(|| format!("unknown routing {routing:?}"))?,
-            arbitration: parse_arb(&arb).ok_or_else(|| format!("unknown arbitration {arb:?}"))?,
-            vcs: u("vcs")? as usize,
-            vc_buf: u("vc_buf")? as usize,
-            router_delay: u("router_delay")? as u32,
-            seed: u("seed")?,
-            ..NetConfig::baseline()
-        };
+        let net = parse_net(line, "sweep")?;
         let pattern_names =
             field_str_array(line, "patterns").ok_or("sweep request missing \"patterns\"")?;
         let patterns = pattern_names
@@ -662,12 +532,12 @@ impl ServeRequest {
                 format!(
                     "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"run\", \
                      \"batch\": \"{}\"{extra}}}",
-                    json_escape(batch)
+                    escape(batch)
                 )
             }
             ServeRequest::Cancel { batch } => format!(
                 "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"cancel\", \"batch\": \"{}\"}}",
-                json_escape(batch)
+                escape(batch)
             ),
             ServeRequest::Health => {
                 format!("{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"health\"}}")
@@ -683,9 +553,7 @@ impl ServeRequest {
 /// malformed lines return a typed error (which the service answers
 /// with an `error` response), never a panic.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
-    if !line.contains(SERVE_SCHEMA) {
-        return Err(format!("unrecognized schema (expected {SERVE_SCHEMA})"));
-    }
+    check_schema(line, SERVE_SCHEMA)?;
     let req = field_str(line, "req").ok_or("missing \"req\" discriminator")?;
     match req.as_str() {
         "point" => Ok(ServeRequest::Point(Box::new(PointRequest::parse(line)?))),
@@ -803,13 +671,13 @@ impl ServeOutcome {
                 format!("\"outcome\": \"timeout\", \"budget\": {budget}, \"wall\": {wall}")
             }
             ServeOutcome::Shed { reason } => {
-                format!("\"outcome\": \"shed\", \"reason\": \"{}\"", json_escape(reason))
+                format!("\"outcome\": \"shed\", \"reason\": \"{}\"", escape(reason))
             }
             ServeOutcome::Panicked { message } => {
-                format!("\"outcome\": \"panicked\", \"message\": \"{}\"", json_escape(message))
+                format!("\"outcome\": \"panicked\", \"message\": \"{}\"", escape(message))
             }
             ServeOutcome::Invalid { reason } => {
-                format!("\"outcome\": \"invalid\", \"reason\": \"{}\"", json_escape(reason))
+                format!("\"outcome\": \"invalid\", \"reason\": \"{}\"", escape(reason))
             }
         }
     }
@@ -879,7 +747,7 @@ impl ServeResult {
         format!(
             "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"result\", \"batch\": \"{}\", \
              \"point\": {}, \"key\": \"{}\", \"cached\": {}, \"attempts\": {}, {}}}",
-            json_escape(&self.batch),
+            escape(&self.batch),
             self.point,
             self.key,
             self.cached,
@@ -1052,7 +920,7 @@ impl ServeResponse {
             ServeResponse::BatchDone { batch, points, ok } => format!(
                 "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"batch-done\", \
                  \"batch\": \"{}\", \"points\": {points}, \"ok\": {ok}}}",
-                json_escape(batch)
+                escape(batch)
             ),
             ServeResponse::SweepDone { batch, expanded, ok, degraded, shed, invalid, timeout } => {
                 format!(
@@ -1060,13 +928,13 @@ impl ServeResponse {
                      \"batch\": \"{}\", \"expanded\": {expanded}, \"ok\": {ok}, \
                      \"degraded\": {degraded}, \"shed\": {shed}, \"invalid\": {invalid}, \
                      \"timeout\": {timeout}}}",
-                    json_escape(batch)
+                    escape(batch)
                 )
             }
             ServeResponse::Cancelled { batch, dropped } => format!(
                 "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"cancelled\", \
                  \"batch\": \"{}\", \"dropped\": {dropped}}}",
-                json_escape(batch)
+                escape(batch)
             ),
             ServeResponse::Busy { active, max } => format!(
                 "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"busy\", \
@@ -1076,7 +944,7 @@ impl ServeResponse {
             ServeResponse::Status(h) => h.emit("status"),
             ServeResponse::Error { reason } => format!(
                 "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"error\", \"reason\": \"{}\"}}",
-                json_escape(reason)
+                escape(reason)
             ),
         }
     }
@@ -1085,9 +953,7 @@ impl ServeResponse {
 /// Parse one response line (same tolerance contract as
 /// [`parse_request`]).
 pub fn parse_response(line: &str) -> Result<ServeResponse, String> {
-    if !line.contains(SERVE_SCHEMA) {
-        return Err(format!("unrecognized schema (expected {SERVE_SCHEMA})"));
-    }
+    check_schema(line, SERVE_SCHEMA)?;
     let resp = field_str(line, "resp").ok_or("missing \"resp\" discriminator")?;
     match resp.as_str() {
         "result" => Ok(ServeResponse::Result(ServeResult::parse(line)?)),
@@ -1182,6 +1048,9 @@ mod tests {
             assert_eq!(q.net.topology, topo);
             assert_eq!(q.pattern, p.pattern);
             assert_eq!(q.budget, None);
+        }
+        for degenerate in ["mesh1", "torus0", "ftorus1", "ring1", "mesh"] {
+            assert_eq!(parse_topology(degenerate), None, "{degenerate}");
         }
     }
 
@@ -1439,6 +1308,12 @@ mod tests {
              \"outcome\": \"ok\", \"avg_latency\": oops}}"
         ))
         .is_err());
+        // the tag inside a string value is not a schema field
+        let unrecognized = Err(format!("unrecognized schema (expected {SERVE_SCHEMA})"));
+        let smuggled = format!("{{\"req\": \"cancel\", \"batch\": \"{SERVE_SCHEMA}\"}}");
+        assert_eq!(parse_request(&smuggled).map(|_| ()), unrecognized);
+        let smuggled = format!("{{\"resp\": \"error\", \"reason\": \"{SERVE_SCHEMA}\"}}");
+        assert_eq!(parse_response(&smuggled).map(|_| ()), unrecognized);
         // truncated string literal (torn line): error, not a hang/panic
         assert!(parse_request(&format!(
             "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"cancel\", \"batch\": \"tor"

@@ -103,15 +103,29 @@ where
     R: Send,
     F: Fn(usize, &T) -> Result<R, Diverged> + Sync,
 {
-    let progress = crate::Progress::from_env("grid", points.len());
+    run_isolated("grid", points, eval, |_, isolated| isolated())
+}
+
+/// The one point-isolation path: [`run_grid`] with a progress reporter,
+/// where point `i` yields `settle(i, isolated)` and `isolated()`
+/// evaluates it under [`catch_unwind`].
+fn run_isolated<T, R, O, F, S>(what: &str, points: &[T], eval: F, settle: S) -> Vec<O>
+where
+    T: Sync,
+    O: Send,
+    F: Fn(usize, &T) -> Result<R, Diverged> + Sync,
+    S: Fn(usize, &dyn Fn() -> PointOutcome<R>) -> O + Sync,
+{
+    let progress = crate::Progress::from_env(what, points.len());
     let out = run_grid(points, |i, p| {
-        let outcome = match catch_unwind(AssertUnwindSafe(|| eval(i, p))) {
+        let isolated = || match catch_unwind(AssertUnwindSafe(|| eval(i, p))) {
             Ok(Ok(r)) => PointOutcome::Ok(r),
             Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
             Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
         };
+        let out = settle(i, &isolated);
         progress.point_done();
-        outcome
+        out
     });
     progress.finish();
     out
@@ -245,19 +259,13 @@ where
         unsynced: 0,
     });
     let recorded = Mutex::new(recorded);
-    let progress = crate::Progress::from_env("journal grid", points.len());
-    let outcomes = run_grid(points, |i, p| {
+    let outcomes = run_isolated("journal grid", points, eval, |i, isolated| {
         if let Some(prior) =
             recorded.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&i)
         {
-            progress.point_done();
             return Ok(prior);
         }
-        let outcome = match catch_unwind(AssertUnwindSafe(|| eval(i, p))) {
-            Ok(Ok(r)) => PointOutcome::Ok(r),
-            Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
-            Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
-        };
+        let outcome = isolated();
         let line = render_line(i, &outcome, codec);
         {
             let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -269,10 +277,8 @@ where
                 w.unsynced = 0;
             }
         }
-        progress.point_done();
         Ok(outcome)
     });
-    progress.finish();
     {
         // final batch boundary: everything acknowledged is on disk
         let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -117,9 +117,11 @@ pub struct NetStats {
     pub delivery_digest: u64,
 }
 
-/// Fold one value into an FNV-1a digest.
-fn fnv1a(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
+/// Fold `bytes` into an FNV-1a hash. Start a fresh hash from
+/// [`DIGEST_SEED`]; fold integers as their little-endian bytes.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -1166,10 +1168,9 @@ impl Network {
 
 /// Fold one delivery into an FNV-1a run digest.
 fn fold_digest(mut h: u64, d: &Delivered, node: usize, t: Cycle) -> u64 {
-    h = fnv1a(h, d.uid);
-    h = fnv1a(h, d.src as u64);
-    h = fnv1a(h, node as u64);
-    h = fnv1a(h, t);
+    for v in [d.uid, d.src as u64, node as u64, t] {
+        h = fnv1a(h, &v.to_le_bytes());
+    }
     h
 }
 
