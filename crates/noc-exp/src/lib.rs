@@ -19,6 +19,12 @@
 //!   `noc-analytic` model) that can answer points outright; only the
 //!   remaining points are simulated, each under its original index so
 //!   evaluated results stay bit-identical to the unpruned grid.
+//!   [`run_grid_journal`] answers points from its journal the same way,
+//!   through the same private path.
+//! * [`robust::isolate`] is the one panic boundary ([`run_grid_robust`]
+//!   and the service's retry loop both use it), and [`Wal`] is the one
+//!   append-only record log (the journal is a `Wal` keyed by point
+//!   index).
 //!
 //! The build environment has no registry access, so instead of rayon
 //! this is a ~100-line scoped-thread pool. The thread count honors
@@ -219,26 +225,28 @@ where
     P: Fn(usize, &T) -> Option<R>,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let mut slots: Vec<Option<R>> = points.iter().map(|_| None).collect();
-    let mut skipped = vec![false; points.len()];
-    let mut to_eval: Vec<usize> = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        match prune(i, p) {
-            Some(r) => {
-                slots[i] = Some(r);
-                skipped[i] = true;
-            }
-            None => to_eval.push(i),
-        }
+    let answered: Vec<Option<R>> = points.iter().enumerate().map(|(i, p)| prune(i, p)).collect();
+    let skipped = answered.iter().map(Option::is_some).collect();
+    PrunedGrid { results: run_unanswered(points, answered, eval), skipped }
+}
+
+/// Fill every `None` in `answered` with `eval(i, &points[i])` through
+/// [`run_grid`], each point under its **original** index, and return
+/// one result per point in point order. The one path for points that
+/// something cheaper already answered: the prune pass of
+/// [`run_grid_pruned`] and the journal replay of [`run_grid_journal`].
+fn run_unanswered<T, R, F>(points: &[T], mut answered: Vec<Option<R>>, eval: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let todo: Vec<usize> = (0..points.len()).filter(|&i| answered[i].is_none()).collect();
+    let evaluated = run_grid(&todo, |_, &i| eval(i, &points[i]));
+    for (&i, r) in todo.iter().zip(evaluated) {
+        answered[i] = Some(r);
     }
-    let evaluated = run_grid(&to_eval, |_, &i| eval(i, &points[i]));
-    for (&i, r) in to_eval.iter().zip(evaluated) {
-        slots[i] = Some(r);
-    }
-    PrunedGrid {
-        results: slots.into_iter().map(|r| r.expect("every point answered")).collect(),
-        skipped,
-    }
+    answered.into_iter().map(|r| r.expect("every point answered")).collect()
 }
 
 /// Run two independent closures concurrently and return both results.

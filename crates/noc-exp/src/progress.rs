@@ -6,7 +6,10 @@
 //! sign of life was the journal file growing. [`Progress`] gives the
 //! robust and journal runners a heartbeat without touching results:
 //! it only *counts* completions, so enabling or disabling it cannot
-//! change what a sweep computes.
+//! change what a sweep computes. It counts evaluated points only: a
+//! point that [`crate::run_grid_journal`] replays from its journal (a
+//! [`crate::Wal`] keyed by point index) is neither in the total nor in
+//! the rate.
 //!
 //! Emission policy: `NOC_PROGRESS=1` forces lines on, `NOC_PROGRESS=0`
 //! forces them off, and with the variable unset lines appear only when

@@ -1,35 +1,35 @@
-//! Crash-proof grid evaluation: panic isolation, divergence budgets,
-//! and a resumable on-disk journal.
+//! Crash-proof grid evaluation: the one panic boundary, divergence
+//! budgets, and a resumable journal.
 //!
 //! [`crate::run_grid`] propagates a panic — correct for verified
 //! production sweeps, fatal for exploratory ones where one degenerate
 //! configuration (a deadlocking fault scenario, a diverging search)
-//! should not poison the other 99 points. [`run_grid_robust`] wraps
-//! every point in [`std::panic::catch_unwind`] and reports a typed
-//! [`PointOutcome`] per point instead; the evaluation closure can also
+//! should not poison the other 99 points. [`isolate`] is the
+//! workspace's one panic boundary: it runs one evaluation and reports
+//! a typed [`PointOutcome`] instead of unwinding. [`run_grid_robust`]
+//! isolates every grid point, and the evaluation service's retry loop
+//! isolates every attempt. The evaluation closure can also
 //! *cooperatively* give up by returning [`Diverged`] when a cycle
 //! budget runs out (the engine cannot preempt a stuck simulation from
 //! outside — budget checks belong in the point's own stepping loop).
 //!
-//! [`run_grid_journal`] adds a line-oriented journal file: every
-//! finished point is appended (and flushed) as it completes, and a
-//! rerun against the same file replays recorded outcomes instead of
-//! re-evaluating them — resuming a partially completed grid after a
-//! crash or an interrupt. Corrupt or half-written lines are skipped, so
-//! a torn final line from a killed process just re-runs that point.
+//! [`run_grid_journal`] adds resumption: its journal is a [`Wal`] keyed
+//! by point index, and every finished point is appended as it
+//! completes. A rerun against the same file replays recorded outcomes
+//! instead of re-evaluating them, resuming a partially completed grid
+//! after a crash or an interrupt. [`Wal::open`] truncates a torn final
+//! record, so a killed process just re-runs that point; complete
+//! records that fail to parse re-run their points too.
 //!
 //! Panics escaping a worker still print the default panic-hook message
 //! to stderr before being caught; that noise is deliberate (silencing
 //! it would require swapping the process-global hook, which races with
 //! concurrent tests).
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
-use std::sync::Mutex;
 
-use crate::run_grid;
+use crate::{run_unanswered, Progress, Wal};
 
 /// Cooperative divergence marker: the point's evaluation loop exhausted
 /// its cycle budget without converging.
@@ -81,7 +81,7 @@ impl<R> PointOutcome<R> {
 }
 
 /// Render a caught panic payload (usually a `&str` or `String`).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -91,39 +91,46 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluate every grid point like [`run_grid`], but isolate failures:
-/// a panicking point yields [`PointOutcome::Panicked`], a point whose
-/// evaluator returns `Err(Diverged)` yields [`PointOutcome::Diverged`],
-/// and every other point completes normally. Results are in point
-/// order and parallel evaluation is bit-identical to serial, exactly
-/// as for [`run_grid`].
+/// Run one evaluation and catch its panic, if any: `Ok` becomes
+/// [`PointOutcome::Ok`], `Err(Diverged)` becomes
+/// [`PointOutcome::Diverged`], and a panic becomes
+/// [`PointOutcome::Panicked`] carrying its message.
+pub fn isolate<R>(f: impl FnOnce() -> Result<R, Diverged>) -> PointOutcome<R> {
+    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(r)) => PointOutcome::Ok(r),
+        Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
+        Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
+    }
+}
+
+/// Evaluate every grid point like [`crate::run_grid`], but
+/// [`isolate`] each one: a panicking point yields
+/// [`PointOutcome::Panicked`], a point whose evaluator returns
+/// `Err(Diverged)` yields [`PointOutcome::Diverged`], and every other
+/// point completes normally. Results are in point order and parallel
+/// evaluation is bit-identical to serial, exactly as for
+/// [`crate::run_grid`].
 pub fn run_grid_robust<T, R, F>(points: &[T], eval: F) -> Vec<PointOutcome<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> Result<R, Diverged> + Sync,
 {
-    run_isolated("grid", points, eval, |_, isolated| isolated())
+    let unanswered = points.iter().map(|_| None).collect();
+    run_metered("grid", points, unanswered, |i, p| isolate(|| eval(i, p)))
 }
 
-/// The one point-isolation path: [`run_grid`] with a progress reporter,
-/// where point `i` yields `settle(i, isolated)` and `isolated()`
-/// evaluates it under [`catch_unwind`].
-fn run_isolated<T, R, O, F, S>(what: &str, points: &[T], eval: F, settle: S) -> Vec<O>
+/// [`run_unanswered`] with a [`Progress`] meter over the points it
+/// evaluates (answered points are not counted).
+fn run_metered<T, O, F>(what: &str, points: &[T], answered: Vec<Option<O>>, eval: F) -> Vec<O>
 where
     T: Sync,
     O: Send,
-    F: Fn(usize, &T) -> Result<R, Diverged> + Sync,
-    S: Fn(usize, &dyn Fn() -> PointOutcome<R>) -> O + Sync,
+    F: Fn(usize, &T) -> O + Sync,
 {
-    let progress = crate::Progress::from_env(what, points.len());
-    let out = run_grid(points, |i, p| {
-        let isolated = || match catch_unwind(AssertUnwindSafe(|| eval(i, p))) {
-            Ok(Ok(r)) => PointOutcome::Ok(r),
-            Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
-            Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
-        };
-        let out = settle(i, &isolated);
+    let progress = Progress::from_env(what, answered.iter().filter(|a| a.is_none()).count());
+    let out = run_unanswered(points, answered, |i, p| {
+        let out = eval(i, p);
         progress.point_done();
         out
     });
@@ -144,87 +151,56 @@ pub trait PointCodec<R> {
     fn decode(&self, s: &str) -> Option<R>;
 }
 
-/// Escape a payload for the one-line-per-record journal format (shared
-/// with the keyed service WAL in [`crate::wal`]).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]; `None` on a malformed escape.
-pub(crate) fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Parse one journal line into `(index, outcome)`; `None` skips it.
-fn parse_line<R, C: PointCodec<R>>(line: &str, codec: &C) -> Option<(usize, PointOutcome<R>)> {
-    let mut parts = line.splitn(3, '\t');
-    let index: usize = parts.next()?.parse().ok()?;
-    let kind = parts.next()?;
-    let payload = unescape(parts.next()?)?;
+/// Parse one journal record — key `index`, payload `kind\t<codec
+/// payload>` — into `(index, outcome)`; `None` re-runs the point.
+fn parse_record<R>(
+    key: &str,
+    payload: &str,
+    codec: &impl PointCodec<R>,
+) -> Option<(usize, PointOutcome<R>)> {
+    let index = key.parse().ok()?;
+    let (kind, payload) = payload.split_once('\t')?;
     let outcome = match kind {
-        "ok" => PointOutcome::Ok(codec.decode(&payload)?),
-        "panicked" => PointOutcome::Panicked { message: payload },
+        "ok" => PointOutcome::Ok(codec.decode(payload)?),
+        "panicked" => PointOutcome::Panicked { message: payload.to_string() },
         "diverged" => PointOutcome::Diverged { budget: payload.parse().ok()? },
         _ => return None,
     };
     Some((index, outcome))
 }
 
-/// Render one journal line (without the trailing newline).
-fn render_line<R, C: PointCodec<R>>(i: usize, outcome: &PointOutcome<R>, codec: &C) -> String {
+/// Render an outcome as a journal record payload, `kind\t<codec payload>`.
+fn render_record<R>(outcome: &PointOutcome<R>, codec: &impl PointCodec<R>) -> String {
     match outcome {
-        PointOutcome::Ok(r) => format!("{i}\tok\t{}", escape(&codec.encode(r))),
-        PointOutcome::Panicked { message } => format!("{i}\tpanicked\t{}", escape(message)),
-        PointOutcome::Diverged { budget } => format!("{i}\tdiverged\t{budget}"),
+        PointOutcome::Ok(r) => format!("ok\t{}", codec.encode(r)),
+        PointOutcome::Panicked { message } => format!("panicked\t{message}"),
+        PointOutcome::Diverged { budget } => format!("diverged\t{budget}"),
     }
 }
 
-/// Appends between `fsync`s while a journaled grid runs; the final
-/// record batch is always synced before [`run_grid_journal`] returns.
-const JOURNAL_SYNC_BATCH: usize = 64;
-
-/// [`run_grid_robust`] with a resumable journal at `path`.
+/// [`run_grid_robust`] with a resumable journal at `path`: a [`Wal`]
+/// whose records are keyed by point index.
 ///
 /// Outcomes already recorded in the journal (of **any** kind — a
 /// recorded panic is not retried; delete the journal to retry) are
-/// replayed without re-evaluation; the rest run through the robust
-/// grid, and each is appended to the journal and flushed as soon as it
-/// completes, with an `fsync` every `JOURNAL_SYNC_BATCH` (64) records and
-/// once at the end of the grid, so even a machine crash loses at most
-/// one batch of finished points.
+/// replayed without re-evaluation, last record wins; the rest run
+/// through the robust grid, each under its original index. Every fresh
+/// outcome is appended as soon as it completes ([`Wal::append`]: one
+/// `write`, an `fsync` every [`crate::wal::WAL_SYNC_BATCH`] records) and
+/// [`Wal::commit`] syncs the final batch before this returns, so even a
+/// machine crash loses at most one batch of finished points.
 ///
-/// A **torn final record** — a line without a trailing newline, the
-/// signature of a process killed mid-append — is explicitly tolerated:
-/// the partial record is dropped and its point re-runs. Complete lines
-/// that fail to parse (unknown schema, bit rot, an index beyond this
-/// grid) are likewise skipped and their points re-run.
+/// A **torn final record** — the signature of a process killed
+/// mid-append — is truncated by [`Wal::open`] and its point re-runs.
+/// Complete records that fail to parse (unknown kind, a payload the
+/// codec rejects, an index beyond this grid) are skipped and their
+/// points re-run. Journals in the older `index\tkind\tpayload` line
+/// format replay unchanged: the WAL reads such a line as key `index`,
+/// payload `kind\tpayload`.
 ///
 /// # Errors
-/// Only on journal I/O failure (open/append); evaluation failures are
-/// values, per [`run_grid_robust`].
+/// Only on journal I/O failure (open/append/sync); evaluation failures
+/// are values, per [`run_grid_robust`].
 pub fn run_grid_journal<T, R, F, C>(
     points: &[T],
     path: &Path,
@@ -237,56 +213,22 @@ where
     C: PointCodec<R> + Sync,
     F: Fn(usize, &T) -> Result<R, Diverged> + Sync,
 {
-    let mut recorded: HashMap<usize, PointOutcome<R>> = HashMap::new();
-    if path.exists() {
-        // the torn tail (if any) has already been dropped here; it is
-        // an expected crash artifact, not corruption
-        let (lines, _torn) = crate::wal::read_lines_tolerant(path)?;
-        for line in lines {
-            if let Some((i, outcome)) = parse_line(&line, codec) {
-                if i < points.len() {
-                    recorded.insert(i, outcome);
-                }
+    let (wal, replay) = Wal::open(path)?;
+    let mut answered: Vec<Option<std::io::Result<PointOutcome<R>>>> =
+        points.iter().map(|_| None).collect();
+    for (key, payload) in &replay.records {
+        if let Some((i, outcome)) = parse_record(key, payload, codec) {
+            if let Some(slot) = answered.get_mut(i) {
+                *slot = Some(Ok(outcome));
             }
         }
     }
-    struct JournalWriter {
-        file: std::fs::File,
-        unsynced: usize,
-    }
-    let writer = Mutex::new(JournalWriter {
-        file: std::fs::OpenOptions::new().create(true).append(true).open(path)?,
-        unsynced: 0,
-    });
-    let recorded = Mutex::new(recorded);
-    let outcomes = run_isolated("journal grid", points, eval, |i, isolated| {
-        if let Some(prior) =
-            recorded.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&i)
-        {
-            return Ok(prior);
-        }
-        let outcome = isolated();
-        let line = render_line(i, &outcome, codec);
-        {
-            let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            // one write call per record: a crash can only tear the tail
-            w.file.write_all(format!("{line}\n").as_bytes())?;
-            w.unsynced += 1;
-            if w.unsynced >= JOURNAL_SYNC_BATCH {
-                w.file.sync_data()?;
-                w.unsynced = 0;
-            }
-        }
+    let outcomes = run_metered("journal grid", points, answered, |i, p| {
+        let outcome = isolate(|| eval(i, p));
+        wal.append(&i.to_string(), &render_record(&outcome, codec))?;
         Ok(outcome)
     });
-    {
-        // final batch boundary: everything acknowledged is on disk
-        let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if w.unsynced > 0 {
-            w.file.sync_data()?;
-            w.unsynced = 0;
-        }
-    }
+    wal.commit()?;
     outcomes.into_iter().collect()
 }
 
@@ -329,15 +271,6 @@ mod tests {
                 _ => assert_eq!(o, &PointOutcome::Ok(i as u64 * 10)),
             }
         }
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash", "\\t\\n\\\\"] {
-            assert_eq!(unescape(&escape(s)).as_deref(), Some(s));
-        }
-        assert_eq!(unescape("bad\\x"), None, "unknown escape is rejected");
-        assert_eq!(unescape("trailing\\"), None, "truncated escape is rejected");
     }
 
     #[test]
@@ -392,9 +325,43 @@ mod tests {
             Ok(p)
         })
         .unwrap();
-        assert_eq!(evals2.load(Ordering::Relaxed), 1, "torn bytes still on disk tear one line");
+        assert_eq!(evals2.load(Ordering::Relaxed), 0, "the torn bytes were truncated on resume");
         assert_eq!(again[0], PointOutcome::Ok(100));
         assert_eq!(again[1], PointOutcome::Ok(200));
+        assert_eq!(again[2], PointOutcome::Ok(27));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_resume_does_not_glue_onto_a_torn_record() {
+        struct AnyString;
+        impl PointCodec<String> for AnyString {
+            fn encode(&self, r: &String) -> String {
+                r.clone()
+            }
+            fn decode(&self, s: &str) -> Option<String> {
+                Some(s.to_string())
+            }
+        }
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = std::env::temp_dir().join(format!("noc_exp_journal_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("glue.journal");
+        // point 2's record was torn mid-payload; a codec that accepts any
+        // string would take a glued line as a valid answer
+        std::fs::write(&path, "0\tok\tp0\n1\tok\tp1\n2\tok\tpart").unwrap();
+        let points: Vec<u64> = (0..3).collect();
+        let eval = |_: usize, &p: &u64| Ok(format!("p{p}"));
+        let first = run_grid_journal(&points, &path, &AnyString, eval).unwrap();
+        assert_eq!(first[2], PointOutcome::Ok("p2".to_string()), "the torn point re-runs");
+        let evals = AtomicUsize::new(0);
+        let second = run_grid_journal(&points, &path, &AnyString, |i, p| {
+            evals.fetch_add(1, Ordering::Relaxed);
+            eval(i, p)
+        })
+        .unwrap();
+        assert_eq!(second[2], PointOutcome::Ok("p2".to_string()), "the evaluated value replays");
+        assert_eq!(evals.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_file(&path);
     }
 

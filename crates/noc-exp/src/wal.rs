@@ -1,10 +1,10 @@
-//! Keyed write-ahead journal for long-running services.
+//! Keyed write-ahead log: the workspace's one append-only record log.
 //!
-//! [`crate::run_grid_journal`]'s journal is indexed by grid position —
-//! right for one grid, useless for a service that answers arbitrary
-//! interleaved requests. [`Wal`] generalizes it to an append-only,
-//! *keyed* record log with the durability properties a crash-tolerant
-//! service needs:
+//! [`Wal`] is an append-only, *keyed* record log with the durability
+//! properties a crash-tolerant process needs. The evaluation service
+//! (`noc-serve`) keys it by request digest and seed;
+//! [`crate::run_grid_journal`] keys it by grid point index, with a
+//! `kind\t<codec payload>` payload.
 //!
 //! * **Atomic append** — each record is one `write(2)` of one complete
 //!   line to an `O_APPEND` descriptor, so concurrent appenders (the
@@ -21,17 +21,16 @@
 //!   boundary), bounding what a *machine* crash can lose without paying
 //!   a disk round-trip per record.
 //!
-//! Records are `(key, payload)` string pairs, tab-separated with the
-//! same escaping as the grid journal; replay returns them in append
-//! order so "last record wins" deduplication is the caller's one-liner
-//! ([`WalReplay::into_map`]).
+//! Records are `(key, payload)` string pairs on one `\n`-terminated
+//! line, `key\tpayload`, with backslash, tab and newline escaped in
+//! both (every other byte, `\r` included, is stored as is); replay
+//! returns them in append order so "last record wins" deduplication is
+//! the caller's one-liner ([`WalReplay::into_map`]).
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-
-use crate::robust::{escape, unescape};
 
 /// Appends between automatic `fsync`s: a machine crash loses at most
 /// this many acknowledged records (a process crash loses none past the
@@ -60,22 +59,6 @@ impl WalReplay {
     }
 }
 
-/// Read a line-oriented journal tolerantly: all complete lines, plus
-/// whether a torn (newline-less) final record was present and dropped.
-/// Non-UTF8 bytes are replaced, which makes the affected line fail its
-/// record parse and be skipped — never a panic.
-pub(crate) fn read_lines_tolerant(path: &Path) -> std::io::Result<(Vec<String>, bool)> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let text = String::from_utf8_lossy(&bytes);
-    let torn = !text.is_empty() && !text.ends_with('\n');
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    if torn {
-        lines.pop();
-    }
-    Ok((lines, torn))
-}
-
 struct WalInner {
     file: std::fs::File,
     unsynced: usize,
@@ -86,6 +69,39 @@ struct WalInner {
 pub struct Wal {
     path: PathBuf,
     inner: Mutex<WalInner>,
+}
+
+/// Escape a key or payload for the one-line-per-record format.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Inverse of [`escape`]; `None` on a malformed escape.
+fn unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next()? {
+            '\\' => out.push('\\'),
+            't' => out.push('\t'),
+            'n' => out.push('\n'),
+            _ => return None,
+        }
+    }
+    Some(out)
 }
 
 fn parse_record(line: &str) -> Option<(String, String)> {
@@ -108,7 +124,9 @@ impl Wal {
             // newline; anything past it is a torn record
             let valid_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
             torn_tail = valid_len < bytes.len();
-            for line in String::from_utf8_lossy(&bytes[..valid_len]).lines() {
+            // split on '\n' only: `str::lines` would also strip a '\r'
+            // that belongs to the record
+            for line in String::from_utf8_lossy(&bytes[..valid_len]).split_terminator('\n') {
                 match parse_record(line) {
                     Some(kv) => records.push(kv),
                     None => corrupt += 1,
@@ -199,8 +217,9 @@ mod tests {
             wal.append("k1", "payload one").unwrap();
             wal.append("k2", "tabs\tand\nnewlines\\").unwrap();
             wal.append("k1", "updated").unwrap();
+            wal.append("cr\r", "ends in cr\r").unwrap();
             wal.commit().unwrap();
-            assert_eq!(wal.records(), 3);
+            assert_eq!(wal.records(), 4);
         }
         let (wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.corrupt, 0);
@@ -211,12 +230,22 @@ mod tests {
                 ("k1".into(), "payload one".into()),
                 ("k2".into(), "tabs\tand\nnewlines\\".into()),
                 ("k1".into(), "updated".into()),
+                ("cr\r".into(), "ends in cr\r".into()),
             ]
         );
         let map = replay.into_map();
         assert_eq!(map.get("k1").map(String::as_str), Some("updated"), "last record wins");
-        assert_eq!(wal.records(), 3);
+        assert_eq!(wal.records(), 4);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn escape_round_trips() {
+        for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash", "\\t\\n\\\\"] {
+            assert_eq!(unescape(&escape(s)).as_deref(), Some(s));
+        }
+        assert_eq!(unescape("bad\\x"), None, "unknown escape is rejected");
+        assert_eq!(unescape("trailing\\"), None, "truncated escape is rejected");
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! same sleeps — retries are part of the deterministic record, not
 //! noise on top of it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use noc_exp::derive_seed;
-use noc_exp::robust::{panic_message, Diverged};
+use noc_exp::robust::{isolate, Diverged, PointOutcome};
 use noc_sim::error::ConfigError;
 
 /// Domain tag mixed into [`noc_exp::derive_seed`] for backoff jitter,
@@ -109,9 +108,10 @@ pub struct Retried<R> {
     pub attempts: u32,
 }
 
-/// Run `eval` under the policy: panics are caught, cooperative
-/// [`Diverged`] give-ups are retried, and each retry waits its
-/// deterministic backoff. `eval` receives the 1-based attempt number.
+/// Run `eval` under the policy: each attempt runs under
+/// [`noc_exp::robust::isolate`], panics and cooperative [`Diverged`]
+/// give-ups are retried, and each retry waits its deterministic
+/// backoff. `eval` receives the 1-based attempt number.
 /// An optional `deadline` is checked before every attempt (and before
 /// every sleep), so a point never oversleeps its batch.
 pub fn run_with_retry<R, F>(
@@ -129,11 +129,11 @@ where
             return Err(RetryError::Deadline { attempts: attempt });
         }
         attempt += 1;
-        let failure = match catch_unwind(AssertUnwindSafe(|| eval(attempt))) {
-            Ok(Ok(value)) => return Ok(Retried { value, attempts: attempt }),
-            Ok(Err(d)) => RetryError::Diverged { budget: d.budget, attempts: attempt },
-            Err(payload) => {
-                RetryError::Panicked { message: panic_message(payload.as_ref()), attempts: attempt }
+        let failure = match isolate(|| eval(attempt)) {
+            PointOutcome::Ok(value) => return Ok(Retried { value, attempts: attempt }),
+            PointOutcome::Diverged { budget } => RetryError::Diverged { budget, attempts: attempt },
+            PointOutcome::Panicked { message } => {
+                RetryError::Panicked { message, attempts: attempt }
             }
         };
         if attempt >= policy.max_attempts {
