@@ -1,102 +1,35 @@
-//! Regenerates every table and figure of the paper in order, printing
-//! each as it completes (with wall-clock timings).
+//! Regenerates the paper's tables and figures, the extension studies
+//! and the fault studies, section by section in [`noc_bench::SECTIONS`]
+//! order, printing each as it completes with its wall-clock time.
 //!
-//! Usage: `cargo run --release -p noc-bench --bin repro -- [quick|paper]`
+//! Usage: `cargo run --release -p noc-bench --bin repro -- [quick|paper] [SECTION...]`
+//!
+//! With no section names every section runs; with names, only those.
+//! A section that reports a panicked or diverged sweep point does not
+//! stop the run, but the process exits 1 naming it once all are done.
 
 use std::time::Instant;
 
-fn timed(name: &str, f: impl FnOnce() -> String) {
-    let start = Instant::now();
-    let body = f();
-    println!("{body}");
-    println!("[{name}: {:.1}s]\n", start.elapsed().as_secs_f64());
-}
-
 fn main() {
-    let e = noc_bench::effort_from_args();
+    let names: Vec<&str> = noc_bench::SECTIONS.iter().map(|&(name, _)| name).collect();
+    let (e, picked) = noc_bench::args_or_exit(&names);
     let total = Instant::now();
-
-    // Prove the sweep's network configurations deadlock-free before
-    // spending hours simulating them.
-    timed("verify", || {
-        use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
-        let configs = [
-            NetConfig::baseline(),
-            NetConfig::baseline().with_topology(TopologyKind::FoldedTorus2D { k: 8 }),
-            NetConfig::baseline().with_topology(TopologyKind::Ring { n: 64 }),
-            NetConfig::baseline().with_routing(RoutingKind::Valiant).with_vcs(2),
-            NetConfig::baseline().with_routing(RoutingKind::Romm).with_vcs(2),
-            NetConfig::baseline().with_routing(RoutingKind::MinAdaptive).with_vcs(2),
-        ];
-        // static analysis per config is independent — fan it out
-        noc_exp::run_grid(&configs, |_, c| noc_verify::verify(c).one_line()).join("\n")
-    });
-
-    timed("table1", noc_eval::figures::table1);
-    timed("table2", noc_eval::figures::table2);
-    timed("fig01", || noc_eval::figures::fig01(&e).render());
-    timed("fig02", || noc_eval::figures::fig02(&e).render());
-    timed("fig03", || {
-        let f = noc_eval::figures::fig03(&e);
-        format!("{}zero-load ratios vs tr=1: {:?}", f.render(), f.zero_load_ratios())
-    });
-    timed("fig04", || noc_eval::figures::fig04(&e).render());
-    timed("fig05", || noc_eval::figures::fig05(&e).render());
-    timed("fig06", || {
-        format!(
-            "{}{}",
-            noc_eval::figures::fig06a(&e).render(),
-            noc_eval::figures::fig06b(&e).render()
-        )
-    });
-    timed("fig07", || noc_eval::figures::fig07(&e).render());
-    timed("fig08", || noc_eval::figures::fig08(&e).render());
-    timed("fig09", || noc_eval::figures::fig09(&e).render());
-    timed("fig10", || {
-        let f = noc_eval::figures::fig10(&e);
-        format!(
-            "{}VAL/DOR at m=1 transpose: {:.3} (paper: ~1.017)",
-            f.render(),
-            f.val_over_dor_transpose_m1()
-        )
-    });
-    timed("fig11", || noc_eval::figures::fig11(&e).render());
-    timed("fig12", || noc_eval::figures::fig12().render());
-    timed("fig13", || noc_eval::figures::fig13(&e).render());
-    timed("fig14", || noc_eval::figures::fig14(&e).render());
-    timed("fig15", || {
-        let f = noc_eval::figures::fig15(&e);
-        format!("== Fig 15 == r = {:.4} (paper 0.829)", f.r.unwrap_or(f64::NAN))
-    });
-    timed("fig16", || noc_eval::figures::fig16(&e).render());
-    timed("fig17", || noc_eval::figures::fig17(&e).render());
-    timed("fig18/19", || {
-        let f = noc_eval::figures::fig19(&e);
-        let mut out = f.render();
-        for (label, r) in f.correlations() {
-            out.push_str(&format!("{label:<12} r = {r:.4}\n"));
+    let mut failed = Vec::new();
+    for &(name, render) in noc_bench::SECTIONS {
+        if !picked.is_empty() && !picked.iter().any(|p| p == name) {
+            continue;
         }
-        out
-    });
-    timed("fig20", || noc_eval::figures::fig20(&e).render());
-    timed("fig21", || noc_eval::figures::fig21(&e).render());
-    timed("fig22", || noc_eval::figures::fig22(&e).render());
-    timed("table3", || noc_eval::figures::table3(&e).render());
-    timed("table4", noc_eval::figures::table4);
-    timed("ext_pktsize", || noc_eval::figures::ext_pktsize(&e).render());
-    timed("ext_scale256", || noc_eval::figures::ext_scale256(&e).render());
-    timed("ext_arbitration", || noc_eval::figures::ext_arbitration(&e).render());
-    timed("ext_barrier", || noc_eval::figures::ext_barrier(&e).render());
-    timed("ext_burst", || noc_eval::figures::ext_burst(&e).render());
-    timed("ext_trace", || noc_eval::figures::ext_trace(&e).render());
-    timed("ext_bottleneck", || noc_eval::figures::ext_bottleneck(&e).render());
-    timed("metrics", || noc_eval::figures::metrics_showcase(&e).render());
-    timed("analytic", || {
-        let study = noc_eval::analytic_study(&noc_eval::default_cases(), &e, 300.0)
-            .expect("default analytic cases are valid configurations");
-        study.render()
-    });
-    timed("sim_speed", || noc_eval::figures::sim_speed(&e));
-
+        let start = Instant::now();
+        let body = render(&e);
+        println!("{body}");
+        println!("[{name}: {:.1}s]\n", start.elapsed().as_secs_f64());
+        if noc_eval::figures::reports_failed_point(&body) {
+            failed.push(name);
+        }
+    }
     println!("[total: {:.1}s]", total.elapsed().as_secs_f64());
+    if !failed.is_empty() {
+        eprintln!("repro: failed sweep points in section(s): {}", failed.join(", "));
+        std::process::exit(1);
+    }
 }

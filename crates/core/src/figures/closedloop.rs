@@ -243,7 +243,7 @@ pub fn fig10(effort: &Effort) -> Fig10 {
 }
 
 impl Fig10 {
-    /// Text report.
+    /// Text report, ending with VAL's runtime overhead at `m = 1`.
     pub fn render(&self) -> String {
         let mut out = String::from("== Fig 10: batch model, routing algorithms ==\n");
         for (title, sweeps) in [("(a) uniform", &self.uniform), ("(b) transpose", &self.transpose)]
@@ -256,6 +256,10 @@ impl Fig10 {
                 }
             }
         }
+        out.push_str(&format!(
+            "VAL/DOR runtime at m=1 under transpose: {:.3}\n(paper: ~1.017)\n",
+            self.val_over_dor_transpose_m1()
+        ));
         out
     }
 
@@ -409,7 +413,7 @@ pub fn fig16(effort: &Effort) -> Fig16 {
 }
 
 impl Fig16 {
-    /// Text report.
+    /// Text report, ending with the `t_r = 4` sensitivity.
     pub fn render(&self) -> String {
         let mut out = String::from("== Fig 16: enhanced injection model (NAR) ==\n");
         for g in &self.groups {
@@ -418,6 +422,10 @@ impl Fig16 {
                 out.push_str(&format!("{nar:<8} {tr:<4} {t:<8.3} {th:.4}\n"));
             }
         }
+        let (lo, hi) = self.tr4_sensitivity();
+        out.push_str(&format!(
+            "tr=4 runtime penalty at NAR=0.04: {lo:.3}x; at NAR=1.0: {hi:.3}x\n"
+        ));
         out
     }
 

@@ -254,8 +254,15 @@ impl Fig14 {
 
 /// Fig 15: correlation of the plain batch model with execution-driven
 /// runs (the paper reports a poor r = 0.829).
-pub fn fig15(effort: &Effort) -> CmpBatchOutcome {
-    correlate_cmp_batch(
+#[derive(Debug, Clone)]
+pub struct Fig15 {
+    /// The plain batch model's scatter and correlation.
+    pub outcome: CmpBatchOutcome,
+}
+
+/// Run Fig 15.
+pub fn fig15(effort: &Effort) -> Fig15 {
+    let outcome = correlate_cmp_batch(
         &all_benchmarks(),
         |p| validation_cmp(p, effort, false),
         &TRS,
@@ -263,7 +270,26 @@ pub fn fig15(effort: &Effort) -> CmpBatchOutcome {
         effort,
         CMP_M,
     )
-    .expect("valid configs")
+    .expect("valid configs");
+    Fig15 { outcome }
+}
+
+impl Fig15 {
+    /// Text report: the correlation, then one row per scatter point.
+    pub fn render(&self) -> String {
+        let o = &self.outcome;
+        let mut out = format!(
+            "== Fig 15: exec-driven vs plain batch ==\nr = {:.4} (paper: 0.829)\n",
+            o.r.unwrap_or(f64::NAN)
+        );
+        for p in &o.points {
+            out.push_str(&format!(
+                "{:<14} tr={} exec={:.3} batch={:.3}\n",
+                p.benchmark, p.tr, p.cmp_norm, p.batch_norm
+            ));
+        }
+        out
+    }
 }
 
 /// Fig 18/19: the extended batch models (BA_inj, BA_re, BA_inj+re)
@@ -298,7 +324,7 @@ pub fn fig19(effort: &Effort) -> Fig19 {
 }
 
 impl Fig19 {
-    /// Text report (covers both Fig 18's runtimes and Fig 19's scatter).
+    /// Text report: Fig 18's runtimes, then Fig 19's correlations.
     pub fn render(&self) -> String {
         let mut out = String::from("== Fig 18/19: extended batch models vs exec-driven ==\n");
         for o in &self.outcomes {
@@ -311,6 +337,11 @@ impl Fig19 {
                 ));
             }
         }
+        out.push_str("== Fig 19: correlations ==\n");
+        for (label, r) in self.correlations() {
+            out.push_str(&format!("{label:<12} r = {r:.4}\n"));
+        }
+        out.push_str("(paper: BA 0.829; extended models improve, BA_inj+re before OS modeling)\n");
         out
     }
 

@@ -17,11 +17,15 @@
 //!   similar to open-loop measurements".
 //! * [`ext_burst`] — open-loop behavior under bursty (on/off) injection
 //!   at equal mean load, a standard methodology stressor.
+//! * [`ext_patterns`] — "other traffic patterns including bit reversal
+//!   and bit complement were simulated but follow a similar trend"
+//!   (Section III-D): Fig 10's routing comparison under those patterns.
 
 use noc_closedloop::{run_barrier, run_batch, BarrierConfig, BatchConfig};
 use noc_openloop::{saturation_throughput, OpenLoopConfig};
-use noc_sim::config::{Arbitration, NetConfig, TopologyKind};
+use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_stats::pearson;
+use noc_traffic::PatternKind;
 use serde::{Deserialize, Serialize};
 
 use crate::effort::Effort;
@@ -42,7 +46,7 @@ pub struct ExtPktSize {
 
 /// Run the packet-size robustness experiment.
 pub fn ext_pktsize(effort: &Effort) -> ExtPktSize {
-    use noc_traffic::{PatternKind, SizeKind};
+    use noc_traffic::SizeKind;
     let run = |tr: u32, load: f64, size: SizeKind| {
         noc_openloop::measure(&OpenLoopConfig {
             net: NetConfig::baseline().with_router_delay(tr),
@@ -442,6 +446,66 @@ impl ExtBurst {
             out.push_str(&format!("{load:<6} {b:<13.1} {o:.1}\n"));
         }
         out.push_str("bursty sources see higher latency at equal mean load (queueing theory).\n");
+        out
+    }
+}
+
+/// The remaining Table I patterns: the batch-model routing comparison
+/// under bit reversal and bit complement, so the paper's "similar trend"
+/// claim is checkable rather than taken on faith.
+#[derive(Debug, Clone)]
+pub struct ExtPatterns {
+    /// `(pattern, routing, m, runtime, theta)` rows.
+    pub rows: Vec<(PatternKind, RoutingKind, usize, u64, f64)>,
+}
+
+/// Run the bit-reversal / bit-complement routing comparison.
+pub fn ext_patterns(effort: &Effort) -> ExtPatterns {
+    let mut grid = Vec::new();
+    for pattern in [PatternKind::BitReversal, PatternKind::BitComplement] {
+        for routing in
+            [RoutingKind::Dor, RoutingKind::MinAdaptive, RoutingKind::Romm, RoutingKind::Valiant]
+        {
+            for m in [1usize, 32] {
+                grid.push((pattern, routing, m));
+            }
+        }
+    }
+    let rows = noc_exp::run_grid(&grid, |_, &(pattern, routing, m)| {
+        let r = run_batch(&BatchConfig {
+            net: NetConfig::baseline().with_routing(routing).with_vcs(4),
+            pattern,
+            batch: effort.batch,
+            max_outstanding: m,
+            ..BatchConfig::default()
+        })
+        .expect("valid config");
+        (pattern, routing, m, r.runtime, r.throughput)
+    });
+    ExtPatterns { rows }
+}
+
+impl ExtPatterns {
+    /// Text report.
+    pub fn render(&self) -> String {
+        let mut out =
+            String::from("== Ext: bit-reversal / bit-complement routing comparison (batch) ==\n");
+        out.push_str(&format!(
+            "{:<10} {:<9} {:<6} {:>10} {:>9}\n",
+            "pattern", "routing", "m", "runtime", "theta"
+        ));
+        for (pattern, routing, m, runtime, theta) in &self.rows {
+            out.push_str(&format!(
+                "{:<10} {:<9?} {:<6} {:>10} {:>9.4}\n",
+                pattern.name(),
+                routing,
+                m,
+                runtime,
+                theta
+            ));
+        }
+        out.push_str("\nexpected: same story as transpose (Fig 10) — load-balanced routing\n");
+        out.push_str("wins on throughput at high m; worst-case m=1 runtimes stay close.\n");
         out
     }
 }

@@ -1,7 +1,8 @@
-//! One entry point per paper figure and table.
+//! One entry point per paper figure and table, extension and fault
+//! study.
 //!
-//! Every function takes an [`crate::effort::Effort`] so the bench
-//! binaries (paper scale) and the integration tests (quick scale) share
+//! Every function takes an [`crate::effort::Effort`] so `repro`'s
+//! sections (paper scale) and the integration tests (quick scale) share
 //! the exact experiment code. Each returns typed data with a `render()`
 //! method producing the text report recorded in EXPERIMENTS.md.
 

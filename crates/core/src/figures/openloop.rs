@@ -129,12 +129,13 @@ pub fn fig03(effort: &Effort) -> Fig03 {
 }
 
 impl Fig03 {
-    /// Text report.
+    /// Text report, ending with the zero-load ratios.
     pub fn render(&self) -> String {
         format!(
-            "{}\n{}",
+            "{}\n{}zero-load ratios vs tr=1: {:?}\n",
             render_curves("Fig 3(a): open-loop, router delay sweep", &self.router_delay),
-            render_curves("Fig 3(b): open-loop, VC buffer size sweep", &self.buffer_size)
+            render_curves("Fig 3(b): open-loop, VC buffer size sweep", &self.buffer_size),
+            self.zero_load_ratios()
         )
     }
 

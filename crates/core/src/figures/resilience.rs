@@ -1,7 +1,10 @@
-//! The resilience figure: delivered fraction and recovery latency vs.
-//! link availability under intermittent fault-and-repair timelines,
-//! with one curve per [`RecoveryMode`] — so the link-level-retry vs.
-//! end-to-end-retransmission trade-off is a single picture.
+//! The fault studies: the degradation table (delivered fraction and
+//! post-fault latency/throughput vs. permanently failed links) and the
+//! resilience figure (delivered fraction and recovery latency vs. link
+//! MTBF under intermittent fault-and-repair timelines, one curve per
+//! [`RecoveryMode`]). Every point runs through the crash-proof grid, so
+//! a panicking or non-settling point is reported in place
+//! ([`reports_failed_point`]) without poisoning the rest of the curve.
 //!
 //! Export follows the `noc-eval/metrics/v1` discipline: a
 //! schema-versioned header (`noc-eval/resilience/v1`), one point
@@ -11,7 +14,10 @@
 //! panicking.
 
 use noc_exp::PointOutcome;
-use noc_fault::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
+use noc_fault::{
+    degradation_sweep, resilience_sweep, DegradationConfig, DegradationPoint, RecoveryMode,
+    ResilienceConfig, ResiliencePoint,
+};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
 use serde::{Deserialize, Serialize};
@@ -22,6 +28,74 @@ use crate::json::{check_schema, escape, field_f64, field_str, field_u64};
 
 /// Schema tag emitted and required by this module.
 pub const RESILIENCE_SCHEMA: &str = "noc-eval/resilience/v1";
+
+/// Whether a rendered fault study reports a sweep point that panicked
+/// or diverged instead of settling.
+pub fn reports_failed_point(report: &str) -> bool {
+    report.lines().any(|l| l.starts_with("point PANICKED") || l.starts_with("point DIVERGED"))
+}
+
+/// The fault studies' healthy network and its mesh radix: a uniform
+/// open-loop point on a 4x4 mesh at quick scale, 8x8 at paper scale.
+fn fault_mesh(effort: &Effort, load: f64) -> (usize, OpenLoopConfig) {
+    let k = if effort.warmup < 5_000 { 4 } else { 8 };
+    let base = OpenLoopConfig {
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k }),
+        load,
+        warmup: effort.warmup,
+        measure: effort.measure,
+        drain_max: effort.drain,
+        ..OpenLoopConfig::default()
+    };
+    (k, base)
+}
+
+/// The graceful-degradation table: one row per number of permanently
+/// failed links, from 0 up to the mesh radix, at load 0.15.
+#[derive(Debug, Clone)]
+pub struct DegradationFigure {
+    /// Mesh radix.
+    pub k: usize,
+    /// One outcome per failed-link count, in axis order.
+    pub outcomes: Vec<PointOutcome<DegradationPoint>>,
+}
+
+/// Run the degradation table.
+pub fn degradation_figure(effort: &Effort) -> DegradationFigure {
+    let (k, base) = fault_mesh(effort, 0.15);
+    let outcomes = degradation_sweep(&DegradationConfig::new(base, k));
+    DegradationFigure { k, outcomes }
+}
+
+impl DegradationFigure {
+    /// Text report.
+    pub fn render(&self) -> String {
+        let k = self.k;
+        let mut out = format!(
+            "== graceful degradation: {k}x{k} mesh, uniform, load 0.15 ==\n\
+             links  delivered            retx     abandoned  dropped  latency   thruput\n"
+        );
+        for outcome in &self.outcomes {
+            out.push_str(&match outcome {
+                PointOutcome::Ok(p) => format!(
+                    "{:<6} {:<20} {:<8} {:<10} {:<8} {:<9.2} {:.4}\n",
+                    p.failed_links,
+                    p.delivered.to_string(),
+                    p.retransmissions,
+                    p.abandoned,
+                    p.packets_dropped,
+                    p.avg_latency,
+                    p.throughput
+                ),
+                PointOutcome::Panicked { message } => format!("point PANICKED: {message}\n"),
+                PointOutcome::Diverged { budget } => {
+                    format!("point DIVERGED (budget {budget} cycles)\n")
+                }
+            });
+        }
+        out
+    }
+}
 
 /// One recovery mode's resilience curve.
 #[derive(Debug, Clone)]
@@ -35,7 +109,7 @@ pub struct ResilienceCurve {
 }
 
 /// The resilience showcase: all four recovery modes swept over the
-/// same MTBF axis on the same flapping 8x8 mesh.
+/// same MTBF axis on the same flapping mesh.
 #[derive(Debug, Clone)]
 pub struct ResilienceFigure {
     /// One curve per recovery mode, in [`RecoveryMode::ALL`] order.
@@ -44,24 +118,17 @@ pub struct ResilienceFigure {
     pub axis: Vec<(u64, u64)>,
 }
 
-/// Run the resilience figure: a mesh with flapping links, MTBF swept
-/// from frequent to rare outages at a fixed MTBF/MTTR ratio, each
-/// recovery mode measured over the identical traffic and flap seeds
-/// (the mode only changes the recovery machinery, never the workload).
+/// Run the resilience figure: a mesh with flapping links at load 0.1,
+/// MTBF swept from frequent to rare outages at a fixed MTBF/MTTR ratio
+/// (3 steps at quick scale, 6 at paper scale), each recovery mode
+/// measured over the identical traffic and flap seeds (the mode only
+/// changes the recovery machinery, never the workload).
 pub fn resilience_figure(effort: &Effort) -> ResilienceFigure {
-    let k = if effort.warmup < 5_000 { 4 } else { 8 };
-    let base = OpenLoopConfig {
-        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k }),
-        load: 0.1,
-        warmup: effort.warmup,
-        measure: effort.measure,
-        drain_max: effort.drain,
-        ..OpenLoopConfig::default()
-    };
+    let (k, base) = fault_mesh(effort, 0.1);
     let horizon = base.warmup + base.measure;
-    // MTBF from one outage per ~tenth of the window up to ~one per
-    // window; MTTR pinned at an eighth of MTBF
-    let steps = effort.sweep_points.clamp(3, 8) as u64;
+    // MTBF from one outage per tenth of the window upward; MTTR pinned
+    // at an eighth of MTBF
+    let steps = if k == 4 { 3u64 } else { 6 };
     let axis: Vec<(u64, u64)> = (1..=steps)
         .map(|i| {
             let mtbf = (horizon / 10 * i).max(8);
@@ -126,25 +193,31 @@ impl ResilienceFigure {
             "resilience: recovery latency after last repair vs link MTBF",
             &self.recovery_curves(),
         ));
-        out.push_str("mode      mtbf    avail   delivered  retx  replays  epochs  recovery\n");
+        out.push_str(
+            "mode      mtbf    mttr   avail   delivered          retx  replays  epochs  recovery  latency\n",
+        );
         for c in &self.curves {
             for p in &c.points {
                 out.push_str(&format!(
-                    "{:<9} {:<7} {:.4}  {:<9} {:<5} {:<8} {:<7} {}\n",
+                    "{:<9} {:<7} {:<6} {:.4}  {:<18} {:<5} {:<8} {:<7} {:<9} {:.2}\n",
                     c.mode,
                     p.mtbf,
+                    p.mttr,
                     p.availability,
                     format!("{}", p.delivered),
                     p.retransmissions,
                     p.link_replays,
                     p.epochs,
                     p.recovery_cycles,
+                    p.avg_latency,
                 ));
             }
             if c.failed_points > 0 {
                 out.push_str(&format!(
-                    "{:<9} {} point(s) diverged or panicked\n",
-                    c.mode, c.failed_points
+                    "point PANICKED or DIVERGED: {} of {} in mode {}\n",
+                    c.failed_points,
+                    self.axis.len(),
+                    c.mode
                 ));
             }
         }
@@ -298,6 +371,27 @@ mod tests {
         for c in &fig.curves {
             assert_eq!(parsed.points.iter().filter(|(m, ..)| m == &c.mode).count(), c.points.len());
         }
+    }
+
+    #[test]
+    fn failed_points_are_reported_for_repro_to_fail_on() {
+        let failed = |outcome| DegradationFigure { k: 4, outcomes: vec![outcome] }.render();
+        assert!(reports_failed_point(&failed(PointOutcome::Panicked { message: "boom".into() })));
+        assert!(reports_failed_point(&failed(PointOutcome::Diverged { budget: 9 })));
+        let clean = DegradationFigure { k: 4, outcomes: Vec::new() };
+        assert!(!reports_failed_point(&clean.render()));
+
+        let curve = |failed_points| ResilienceCurve {
+            mode: "e2e".into(),
+            points: Vec::new(),
+            failed_points,
+        };
+        let fig = |failed_points| ResilienceFigure {
+            curves: vec![curve(failed_points)],
+            axis: vec![(400, 50)],
+        };
+        assert!(reports_failed_point(&fig(1).render()));
+        assert!(!reports_failed_point(&fig(0).render()));
     }
 
     #[test]

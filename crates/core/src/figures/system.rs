@@ -150,7 +150,7 @@ pub fn fig20(effort: &Effort) -> Fig20 {
 }
 
 impl Fig20 {
-    /// Text report.
+    /// Text report, ending with the mean kernel share per clock.
     pub fn render(&self) -> String {
         let mut out = String::from(
             "== Fig 20: network injection rate, user vs kernel ==\n\
@@ -162,6 +162,11 @@ impl Fig20 {
                 "{clock:<8} {name:<14} {tr:<4} {u:<10.5} {k:<10.5} {frac:.0}%\n"
             ));
         }
+        out.push_str(&format!(
+            "kernel share: 75 MHz {:.0}%, 3 GHz {:.0}%\n",
+            self.kernel_fraction("75 MHz") * 100.0,
+            self.kernel_fraction("3 GHz") * 100.0
+        ));
         out
     }
 
@@ -611,12 +616,6 @@ impl SimSpeedReport {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// Simulator speed comparison as a text report (legacy entry point used
-/// by `repro`; see [`sim_speed_report`] for the structured form).
-pub fn sim_speed(effort: &Effort) -> String {
-    sim_speed_report(effort).render()
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! * [`bridge`] — builds batch-model configurations from benchmark
 //!   profiles: the enhanced injection (NAR), reply (memory latency), and
 //!   kernel (timer/syscall) extensions, per benchmark, per clock.
-//! * [`figures`] — one entry point per paper figure/table; each returns
-//!   typed data and renders a text report, so the bench binaries and the
-//!   integration tests share the exact same experiment code.
+//! * [`figures`] — one entry point per paper figure/table and study;
+//!   each returns typed data and renders a text report, so `repro` and
+//!   the integration tests share the exact same experiment code.
 //! * [`report`] — text tables and CSV output.
 //! * [`effort`] — scaling knobs: `quick` for tests, `paper` for the full
 //!   reproduction.

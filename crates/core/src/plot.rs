@@ -1,5 +1,5 @@
 //! Terminal plotting: multi-series ASCII scatter/line plots for the
-//! figure binaries, so latency–load curves are readable without leaving
+//! figure reports, so latency–load curves are readable without leaving
 //! the terminal.
 
 /// One plottable series.

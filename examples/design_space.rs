@@ -50,5 +50,5 @@ fn main() {
     }
     println!("\nreading: batch runtime is the system metric; if you only looked at");
     println!("open-loop latency you would overweight router-delay effects for");
-    println!("workloads that never stress the network (see fig16/fig22 binaries).");
+    println!("workloads that never stress the network (see repro's fig16/fig22 sections).");
 }
